@@ -9,20 +9,32 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"ion/internal/darshan"
 	"ion/internal/extractor"
 	"ion/internal/knowledge"
+	"ion/internal/table"
 )
 
 // Env bundles everything an analysis needs: the extracted tables and
-// the system hyperparameters.
+// the system hyperparameters. An Env is safe for concurrent use by the
+// analyses; the DXT events and the shared-file report are computed once.
 type Env struct {
 	Out   *extractor.Output
 	Hyper knowledge.Hyperparams
 
-	events []Event // lazily parsed DXT cache
+	eventsOnce sync.Once
+	events     []Event
+	files      []string    // interned file names, indexed by Event.File
+	streams    []streamKey // access streams, indexed by Event.Stream
+	eventsErr  error
+
+	sharedOnce sync.Once
+	shared     SharedFileReport
+	sharedErr  error
 }
 
 // NewEnv builds an analysis environment.
@@ -41,53 +53,151 @@ type Event struct {
 	Length   int64
 	Start    float64
 	End      float64
+	// File is FileName interned: dense ids in order of first appearance.
+	File int32
+	// Stream is the dense id of the event's (file, rank, op) access
+	// stream, in order of first appearance.
+	Stream int32
 }
 
-// Events parses and caches the DXT table. It returns an error when the
-// trace has no DXT data — callers fall back to counter-only analyses.
+// streamKey identifies one per-(file, rank, op) access stream. op is
+// the interned Op string.
+type streamKey struct {
+	file, op int32
+	rank     int64
+}
+
+// Events parses the DXT table once, interning file names and access
+// streams to dense ids. It returns an error when the trace has no DXT
+// data — callers fall back to counter-only analyses.
 func (e *Env) Events() ([]Event, error) {
-	if e.events != nil {
-		return e.events, nil
-	}
+	e.eventsOnce.Do(func() { e.eventsErr = e.parseEvents() })
+	return e.events, e.eventsErr
+}
+
+func (e *Env) parseEvents() error {
 	t := e.Out.Table(extractor.TableDXT)
 	if t == nil {
-		return nil, fmt.Errorf("analysis: trace has no DXT table")
+		return fmt.Errorf("analysis: trace has no DXT table")
+	}
+	// Columns are resolved once; a row with a cell that does not parse
+	// is re-read through the table's typed accessors for their error.
+	var col [len(dxtColumns)]int
+	if t.NumRows() > 0 {
+		for k, name := range dxtColumns {
+			i, err := t.ColIndex(name)
+			if err != nil {
+				return err
+			}
+			col[k] = i
+		}
 	}
 	evs := make([]Event, 0, t.NumRows())
-	for i := 0; i < t.NumRows(); i++ {
-		var ev Event
-		var err error
-		if ev.FileID, err = t.Value(i, "file_id"); err != nil {
-			return nil, err
+	var files, ops interner
+	streams := map[streamKey]int32{}
+	for i, row := range t.Rows {
+		ev := Event{FileID: row[col[0]], FileName: row[col[1]], Module: row[col[2]], Op: row[col[4]]}
+		var e1, e2, e3, e4, e5 error
+		ev.Rank, e1 = strconv.ParseInt(row[col[3]], 10, 64)
+		ev.Offset, e2 = strconv.ParseInt(row[col[5]], 10, 64)
+		ev.Length, e3 = strconv.ParseInt(row[col[6]], 10, 64)
+		ev.Start, e4 = strconv.ParseFloat(row[col[7]], 64)
+		ev.End, e5 = strconv.ParseFloat(row[col[8]], 64)
+		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || e5 != nil {
+			return rowError(t, i)
 		}
-		if ev.FileName, err = t.Value(i, "file_name"); err != nil {
-			return nil, err
+		ev.File = files.id(ev.FileName)
+		k := streamKey{file: ev.File, op: ops.id(ev.Op), rank: ev.Rank}
+		id, ok := streams[k]
+		if !ok {
+			id = int32(len(e.streams))
+			streams[k] = id
+			e.streams = append(e.streams, k)
 		}
-		if ev.Module, err = t.Value(i, "module"); err != nil {
-			return nil, err
-		}
-		if ev.Rank, err = t.Int(i, "rank"); err != nil {
-			return nil, err
-		}
-		if ev.Op, err = t.Value(i, "op"); err != nil {
-			return nil, err
-		}
-		if ev.Offset, err = t.Int(i, "offset"); err != nil {
-			return nil, err
-		}
-		if ev.Length, err = t.Int(i, "length"); err != nil {
-			return nil, err
-		}
-		if ev.Start, err = t.Float(i, "start"); err != nil {
-			return nil, err
-		}
-		if ev.End, err = t.Float(i, "end"); err != nil {
-			return nil, err
-		}
+		ev.Stream = id
 		evs = append(evs, ev)
 	}
 	e.events = evs
-	return evs, nil
+	e.files = files.names
+	return nil
+}
+
+// dxtColumns are the DXT table columns an Event is read from, in the
+// order their errors are reported.
+var dxtColumns = [...]string{
+	"file_id", "file_name", "module", "rank", "op", "offset", "length", "start", "end",
+}
+
+// rowError returns the typed accessors' error for the first DXT cell
+// of row i that does not parse.
+func rowError(t *table.Table, i int) error {
+	for _, c := range []string{"rank", "offset", "length"} {
+		if _, err := t.Int(i, c); err != nil {
+			return err
+		}
+	}
+	for _, c := range []string{"start", "end"} {
+		if _, err := t.Float(i, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// interner assigns dense int32 ids to strings in order of first
+// appearance. DXT rows come grouped by file, so the previous string is
+// checked before the map.
+type interner struct {
+	ids    map[string]int32
+	names  []string
+	last   string
+	lastID int32
+}
+
+func (in *interner) id(s string) int32 {
+	if len(in.names) > 0 && s == in.last {
+		return in.lastID
+	}
+	id, ok := in.ids[s]
+	if !ok {
+		if in.ids == nil {
+			in.ids = map[string]int32{}
+		}
+		id = int32(len(in.names))
+		in.ids[s] = id
+		in.names = append(in.names, s)
+	}
+	in.last, in.lastID = s, id
+	return id
+}
+
+// ranksPerFile counts the distinct ranks accessing each interned file.
+// Call after Events succeeded.
+func (e *Env) ranksPerFile() []int {
+	counts := make([]int, len(e.files))
+	type fileRank struct {
+		file int32
+		rank int64
+	}
+	seen := make(map[fileRank]struct{}, len(e.streams))
+	for _, k := range e.streams {
+		fr := fileRank{k.file, k.rank}
+		if _, ok := seen[fr]; !ok {
+			seen[fr] = struct{}{}
+			counts[k.file]++
+		}
+	}
+	return counts
+}
+
+// activeRanks counts the distinct ranks with DXT events. Call after
+// Events succeeded.
+func (e *Env) activeRanks() int {
+	ranks := map[int64]struct{}{}
+	for _, k := range e.streams {
+		ranks[k.rank] = struct{}{}
+	}
+	return len(ranks)
 }
 
 // SumPosix sums one POSIX counter column across records; missing table
@@ -168,13 +278,6 @@ func fshare(num, den float64) float64 {
 // Pct formats a share as a percentage with two decimals.
 func Pct(f float64) string { return fmt.Sprintf("%.2f%%", 100*f) }
 
-// streamID keys per-(file, rank, kind) access streams.
-type streamID struct {
-	file string
-	rank int64
-	op   string
-}
-
 // --- Small I/O ---
 
 // SmallIOReport quantifies small-request behavior and aggregation
@@ -203,13 +306,12 @@ func SmallIO(env *Env) (SmallIOReport, error) {
 		return SmallIOReport{}, err
 	}
 	r := SmallIOReport{RPCSize: env.Hyper.RPCSize, StripeSize: env.Hyper.StripeSize}
-	prevEnd := map[streamID]int64{}
-	seen := map[streamID]bool{}
-	ranks := map[int64]bool{}
+	// prevEnd[s] is where stream s's previous access ended, once seen[s].
+	prevEnd := make([]int64, len(env.streams))
+	seen := make([]bool, len(env.streams))
 	for _, ev := range evs {
 		r.TotalOps++
 		r.TotalBytes += ev.Length
-		ranks[ev.Rank] = true
 		small := ev.Length < env.Hyper.RPCSize
 		if small {
 			r.SmallOps++
@@ -218,20 +320,19 @@ func SmallIO(env *Env) (SmallIOReport, error) {
 		if ev.Length < env.Hyper.StripeSize {
 			r.TinyOps++
 		}
-		id := streamID{ev.FileName, ev.Rank, ev.Op}
-		if seen[id] && small && ev.Offset == prevEnd[id] {
+		if seen[ev.Stream] && small && ev.Offset == prevEnd[ev.Stream] {
 			r.ConsecSmall++
 		}
-		seen[id] = true
-		prevEnd[id] = ev.Offset + ev.Length
+		seen[ev.Stream] = true
+		prevEnd[ev.Stream] = ev.Offset + ev.Length
 	}
 	r.SmallShare = share(r.SmallOps, r.TotalOps)
 	r.TinyShare = share(r.TinyOps, r.TotalOps)
 	r.VolumeShare = share(r.SmallBytes, r.TotalBytes)
 	r.ConsecShare = share(r.ConsecSmall, r.SmallOps)
 	r.AggPotential = r.ConsecSmall
-	if len(ranks) > 0 {
-		r.PerRankSmall = float64(r.SmallOps) / float64(len(ranks))
+	if ranks := env.activeRanks(); ranks > 0 {
+		r.PerRankSmall = float64(r.SmallOps) / float64(ranks)
 	}
 	return r, nil
 }
@@ -331,25 +432,25 @@ func Pattern(env *Env) (PatternReport, error) {
 		return PatternReport{}, err
 	}
 	var r PatternReport
-	prevEnd := map[streamID]int64{}
-	prevStart := map[streamID]int64{}
-	prevLen := map[streamID]int64{}
-	seen := map[streamID]bool{}
+	// prev[s] is stream s's previous access, once seen[s].
+	type access struct{ start, end, length int64 }
+	prev := make([]access, len(env.streams))
+	seen := make([]bool, len(env.streams))
 	randPerRank := map[int64]int64{}
 	for _, ev := range evs {
 		r.TotalBytes += ev.Length
 		if ev.Op == "read" {
 			r.Reads++
 		}
-		id := streamID{ev.FileName, ev.Rank, ev.Op}
-		if seen[id] {
+		p := &prev[ev.Stream]
+		if seen[ev.Stream] {
 			r.Classified++
 			switch {
-			case ev.Offset == prevEnd[id]:
+			case ev.Offset == p.end:
 				r.Consecutive++
-			case ev.Offset == prevStart[id] && ev.Length == prevLen[id]:
+			case ev.Offset == p.start && ev.Length == p.length:
 				r.Repeats++
-			case ev.Offset > prevEnd[id]:
+			case ev.Offset > p.end:
 				r.ForwardJumps++
 				r.RandomOps++
 				r.RandomBytes += ev.Length
@@ -367,10 +468,8 @@ func Pattern(env *Env) (PatternReport, error) {
 				}
 			}
 		}
-		seen[id] = true
-		prevEnd[id] = ev.Offset + ev.Length
-		prevStart[id] = ev.Offset
-		prevLen[id] = ev.Length
+		seen[ev.Stream] = true
+		*p = access{start: ev.Offset, end: ev.Offset + ev.Length, length: ev.Length}
 	}
 	r.NonContig = r.ForwardJumps + r.BackwardJumps
 	r.ConsecShare = share(r.Consecutive, r.Classified)
@@ -406,92 +505,123 @@ type SharedFileReport struct {
 	StripeSize          int64
 }
 
-// SharedFile computes the shared-file report.
+// SharedFile computes the shared-file report. The report is computed
+// once per Env; later calls return the same result.
 func SharedFile(env *Env) (SharedFileReport, error) {
+	env.sharedOnce.Do(func() { env.shared, env.sharedErr = sharedFile(env) })
+	return env.shared, env.sharedErr
+}
+
+// stripeKey identifies one stripe unit of one interned file.
+type stripeKey struct {
+	file   int32
+	stripe int64
+}
+
+// stripeState is everything SharedFile tracks per stripe: its writers
+// (only whether more than one rank wrote it matters) and the
+// latest-ending access, against which temporal overlap is checked. Only
+// conflicts involving at least one write count (concurrent reads of
+// one stripe are benign).
+type stripeState struct {
+	writer    int64 // first rank that wrote the stripe
+	lastRank  int64
+	lastEnd   float64
+	writers   uint8 // distinct writing ranks, saturating at 2
+	lastWrite bool
+}
+
+func sharedFile(env *Env) (SharedFileReport, error) {
 	evs, err := env.Events()
 	if err != nil {
 		return SharedFileReport{}, err
 	}
 	r := SharedFileReport{StripeSize: env.Hyper.StripeSize}
-	type stripeKey struct {
-		file   string
-		stripe int64
-	}
-	ranksPerFile := map[string]map[int64]bool{}
-	writersPerStripe := map[stripeKey]map[int64]bool{}
-	stripes := map[stripeKey]bool{}
-	// For temporal overlap: track the latest access per stripe; only
-	// conflicts involving at least one write count (concurrent reads of
-	// one stripe are benign).
-	type interval struct {
-		rank  int64
-		end   float64
-		write bool
-	}
-	lastOnStripe := map[stripeKey]interval{}
-
-	for _, ev := range evs {
-		if ranksPerFile[ev.FileName] == nil {
-			ranksPerFile[ev.FileName] = map[int64]bool{}
-		}
-		ranksPerFile[ev.FileName][ev.Rank] = true
-		first := ev.Offset / r.StripeSize
-		last := (ev.Offset + max64(ev.Length, 1) - 1) / r.StripeSize
-		for s := first; s <= last; s++ {
-			k := stripeKey{ev.FileName, s}
-			stripes[k] = true
-			if ev.Op == "write" {
-				if writersPerStripe[k] == nil {
-					writersPerStripe[k] = map[int64]bool{}
-				}
-				writersPerStripe[k][ev.Rank] = true
-			}
-			if prev, ok := lastOnStripe[k]; ok && prev.rank != ev.Rank && ev.Start < prev.end &&
-				(prev.write || ev.Op == "write") {
-				r.OverlapEvents++
-			}
-			if cur, ok := lastOnStripe[k]; !ok || ev.End > cur.end {
-				lastOnStripe[k] = interval{rank: ev.Rank, end: ev.End, write: ev.Op == "write"}
-			}
-		}
-		if ev.Op == "write" {
-			r.WriteOps++
-		}
-	}
-	for file, ranks := range ranksPerFile {
-		if len(ranks) > 1 {
+	for file, n := range env.ranksPerFile() {
+		if n > 1 {
 			r.SharedFiles++
 		}
-		if len(ranks) > r.MaxRanks {
-			r.MaxRanks = len(ranks)
-			r.BusiestFile = file
+		// Strictly greater: ties go to the file that appeared first.
+		if n > r.MaxRanks {
+			r.MaxRanks = n
+			r.BusiestFile = env.files[file]
 		}
 	}
-	conflict := map[stripeKey]bool{}
-	for k, writers := range writersPerStripe {
-		if len(writers) > 1 {
-			conflict[k] = true
+
+	index := map[stripeKey]int32{}
+	var stripes []stripeState
+	// writeStripes lists, write by write in event order, the stripe
+	// indices each write touched, for the conflict check once every
+	// stripe's writers are known.
+	var writeStripes []int32
+	for _, ev := range evs {
+		write := ev.Op == "write"
+		if write {
+			r.WriteOps++
+		}
+		first, last := stripeSpan(ev, r.StripeSize)
+		for s := first; s <= last; s++ {
+			k := stripeKey{ev.File, s}
+			i, ok := index[k]
+			if !ok {
+				i = int32(len(stripes))
+				index[k] = i
+				stripes = append(stripes, stripeState{lastRank: ev.Rank, lastEnd: ev.End, lastWrite: write})
+			} else {
+				st := &stripes[i]
+				if st.lastRank != ev.Rank && ev.Start < st.lastEnd && (st.lastWrite || write) {
+					r.OverlapEvents++
+				}
+				if ev.End > st.lastEnd {
+					st.lastRank, st.lastEnd, st.lastWrite = ev.Rank, ev.End, write
+				}
+			}
+			if write {
+				st := &stripes[i]
+				switch {
+				case st.writers == 0:
+					st.writer, st.writers = ev.Rank, 1
+				case st.writers == 1 && st.writer != ev.Rank:
+					st.writers = 2
+				}
+				writeStripes = append(writeStripes, i)
+			}
+		}
+	}
+	for _, st := range stripes {
+		if st.writers > 1 {
 			r.ConflictStripes++
 		}
 	}
 	r.StripesTouched = int64(len(stripes))
 	r.ConflictShare = share(r.ConflictStripes, r.StripesTouched)
-	// Second pass for writes landing on conflict stripes.
+	// A write lands on a conflict stripe if any stripe it touched ended
+	// up with more than one writer.
 	for _, ev := range evs {
 		if ev.Op != "write" {
 			continue
 		}
-		first := ev.Offset / r.StripeSize
-		last := (ev.Offset + max64(ev.Length, 1) - 1) / r.StripeSize
-		for s := first; s <= last; s++ {
-			if conflict[stripeKey{ev.FileName, s}] {
+		first, last := stripeSpan(ev, r.StripeSize)
+		n := 0
+		if last >= first {
+			n = int(last-first) + 1
+		}
+		for _, i := range writeStripes[:n] {
+			if stripes[i].writers > 1 {
 				r.WritesOnShared++
 				break
 			}
 		}
+		writeStripes = writeStripes[n:]
 	}
 	r.WritesOnSharedShare = share(r.WritesOnShared, r.WriteOps)
 	return r, nil
+}
+
+// stripeSpan returns the first and last stripe an event touches; a
+// zero-length access counts as touching its offset's stripe.
+func stripeSpan(ev Event, size int64) (first, last int64) {
+	return ev.Offset / size, (ev.Offset + max64(ev.Length, 1) - 1) / size
 }
 
 // --- Load imbalance ---
@@ -669,19 +799,10 @@ func Interface(env *Env) (InterfaceReport, error) {
 		r.StdioDataOps = reads + writes
 		r.UsesSTDIO = r.StdioDataOps > 0
 	}
-	if evs, err := env.Events(); err == nil {
-		ranks := map[int64]bool{}
-		perFile := map[string]map[int64]bool{}
-		for _, ev := range evs {
-			ranks[ev.Rank] = true
-			if perFile[ev.FileName] == nil {
-				perFile[ev.FileName] = map[int64]bool{}
-			}
-			perFile[ev.FileName][ev.Rank] = true
-		}
-		r.MultiRankData = len(ranks) > 1
-		for _, rs := range perFile {
-			if len(rs) > 1 {
+	if _, err := env.Events(); err == nil {
+		r.MultiRankData = env.activeRanks() > 1
+		for _, n := range env.ranksPerFile() {
+			if n > 1 {
 				r.SharedFiles++
 			}
 		}

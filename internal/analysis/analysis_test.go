@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -280,6 +281,43 @@ func TestMissingTables(t *testing.T) {
 	// Collective degrades gracefully (no MPI-IO is a valid state).
 	if r, err := Collective(empty); err != nil || r.HasMPIIO {
 		t.Errorf("Collective on empty env: %+v, %v", r, err)
+	}
+}
+
+// TestEventsReportsBadCells: a DXT table with a missing column or a
+// cell that does not parse fails Events with the table's own error.
+func TestEventsReportsBadCells(t *testing.T) {
+	cols := []string{"file_id", "file_name", "module", "rank", "op", "offset", "length", "start", "end"}
+	good := []string{"7", "/f", "X_POSIX", "0", "write", "0", "8", "0.1", "0.2"}
+	for _, tc := range []struct {
+		col, cell string
+		want      string
+	}{
+		{"rank", "x", `table DXT: rank[1] = "x" is not an integer`},
+		{"length", "1.5", `table DXT: length[1] = "1.5" is not an integer`},
+		{"end", "soon", `table DXT: end[1] = "soon" is not a number`},
+	} {
+		dxt := table.New(extractor.TableDXT, cols)
+		bad := append([]string(nil), good...)
+		bad[slices.Index(cols, tc.col)] = tc.cell
+		if err := dxt.Append(good); err != nil {
+			t.Fatal(err)
+		}
+		if err := dxt.Append(bad); err != nil {
+			t.Fatal(err)
+		}
+		env := NewEnv(&extractor.Output{Tables: map[string]*table.Table{extractor.TableDXT: dxt}}, knowledge.DefaultHyperparams())
+		if _, err := env.Events(); err == nil || err.Error() != tc.want {
+			t.Errorf("bad %s: error %v, want %q", tc.col, err, tc.want)
+		}
+	}
+	noOp := table.New(extractor.TableDXT, slices.DeleteFunc(slices.Clone(cols), func(c string) bool { return c == "op" }))
+	if err := noOp.Append([]string{"7", "/f", "X_POSIX", "0", "0", "8", "0.1", "0.2"}); err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(&extractor.Output{Tables: map[string]*table.Table{extractor.TableDXT: noOp}}, knowledge.DefaultHyperparams())
+	if _, err := env.Events(); err == nil || err.Error() != `table DXT: no column "op"` {
+		t.Errorf("missing op column: error %v", err)
 	}
 }
 

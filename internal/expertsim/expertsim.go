@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,7 +42,14 @@ type Client struct {
 
 	mu   sync.Mutex
 	envs map[string]*analysis.Env
+	lru  []string // keys of envs, least recently used first
 }
+
+// maxEnvs bounds the analysis environments a Client keeps. A job's
+// per-issue fan-out shares one environment, and every job has its own
+// CSV directory, so a few entries cover the jobs in flight; an
+// unbounded cache would grow with every job served.
+const maxEnvs = 8
 
 // New returns a simulated expert client.
 func New() *Client {
@@ -153,6 +161,8 @@ func (c *Client) envFor(req llm.Request, content string) (*analysis.Env, error) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if env, ok := c.envs[key]; ok {
+		i := slices.Index(c.lru, key)
+		c.lru = append(append(c.lru[:i], c.lru[i+1:]...), key)
 		return env, nil
 	}
 	out, err := c.LoadDir(dir)
@@ -160,10 +170,12 @@ func (c *Client) envFor(req llm.Request, content string) (*analysis.Env, error) 
 		return nil, fmt.Errorf("expertsim: loading trace CSVs: %w", err)
 	}
 	env := analysis.NewEnv(out, hyper)
-	// Pre-parse DXT under the lock so the lazily cached event slice is
-	// written once, keeping the env safe for the parallel fan-out.
-	_, _ = env.Events()
 	c.envs[key] = env
+	c.lru = append(c.lru, key)
+	if len(c.lru) > maxEnvs {
+		delete(c.envs, c.lru[0])
+		c.lru = c.lru[1:]
+	}
 	return env, nil
 }
 

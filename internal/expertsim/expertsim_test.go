@@ -2,6 +2,7 @@ package expertsim
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -357,5 +358,63 @@ Small but consecutive operations aggregate fine.
 	}
 	if !strings.Contains(a2.Content, "Imbalanced I/O Workload") {
 		t.Errorf("follow-up lost the topic: %s", a2.Content)
+	}
+}
+
+// TestEnvCacheBounded: after more distinct CSV directories than the
+// bound, the client holds at most maxEnvs environments, and an evicted
+// directory is reloaded and diagnosed byte-identically.
+func TestEnvCacheBounded(t *testing.T) {
+	out, _, err := testutil.Extracted("ior-easy-2k-shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	loads := map[string]int{}
+	c.LoadDir = func(d string) (*extractor.Output, error) {
+		loads[d]++ // LoadDir runs under the client's lock
+		return out, nil
+	}
+	b := prompt.NewBuilder(knowledge.NewBase(knowledge.FromExtract(out)))
+	complete := func(dir string) string {
+		t.Helper()
+		req, err := b.Diagnosis(issue.SharedFile, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Metadata[prompt.MetaCSVDir] = dir
+		comp, err := c.Complete(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comp.Content
+	}
+	first := complete("/csv/job-0")
+	for i := 1; i <= 2*maxEnvs; i++ {
+		complete(fmt.Sprintf("/csv/job-%d", i))
+	}
+	c.mu.Lock()
+	held, order := len(c.envs), len(c.lru)
+	c.mu.Unlock()
+	if held > maxEnvs || held != order {
+		t.Fatalf("client holds %d envs (%d in LRU order), bound %d", held, order, maxEnvs)
+	}
+	again := complete("/csv/job-0")
+	if loads["/csv/job-0"] != 2 {
+		t.Errorf("evicted directory loaded %d times, want 2", loads["/csv/job-0"])
+	}
+	if again != first {
+		t.Errorf("re-diagnosis of an evicted directory differs:\n--- first ---\n%s\n--- again ---\n%s", first, again)
+	}
+	// A hit refreshes recency: after maxEnvs-1 misses job-0 is the
+	// oldest entry; hitting it makes the next miss evict another.
+	for i := 0; i < maxEnvs-1; i++ {
+		complete(fmt.Sprintf("/csv/new-%d", i))
+	}
+	complete("/csv/job-0")
+	complete("/csv/one-more")
+	complete("/csv/job-0")
+	if loads["/csv/job-0"] != 2 {
+		t.Errorf("recently used directory was evicted (loaded %d times)", loads["/csv/job-0"])
 	}
 }

@@ -32,12 +32,18 @@ const (
 // diagnose applies the semantic reuse ladder to one job and returns
 // the terminal state to settle:
 //
-//  1. similarity ≥ SemReuseThreshold → serve the neighbor's report
-//     verbatim (StateReused, zero LLM calls);
+//  1. similarity ≥ SemReuseThreshold and the neighbor was a full
+//     fan-out → serve the neighbor's report verbatim (StateReused, zero
+//     LLM calls);
 //  2. similarity ≥ SemConditionThreshold → run the analysis with the
 //     neighbor's conclusions as retrieved context and its not-detected
 //     verdicts adopted (fewer LLM calls);
 //  3. otherwise → full fan-out.
+//
+// A conditioned report is never served verbatim: its adopted verdicts
+// were judged on another trace, and copying it would pass them on to
+// every later near-duplicate unchecked. A conditioned neighbor can
+// still condition.
 //
 // Completed runs (full or conditioned) are indexed back into the
 // store; verbatim hits are not re-indexed — their signature would
@@ -62,7 +68,8 @@ func (s *Service) diagnose(ctx context.Context, id, hash string, out *extractor.
 		s.semSim.Observe(match.Similarity)
 	}
 
-	if ok && match.Entry.JobID != id && match.Similarity >= s.cfg.SemReuseThreshold {
+	if ok && match.Entry.JobID != id && match.Similarity >= s.cfg.SemReuseThreshold &&
+		match.Entry.Outcome != semcache.OutcomeConditioned {
 		if rep, err := s.serveFromNeighbor(id, match); err == nil {
 			logger.Info("semantic hit: serving prior diagnosis verbatim",
 				"neighbor", match.Entry.JobID, "similarity", match.Similarity)

@@ -376,3 +376,47 @@ func TestConcurrentSubmitLookupEvict(t *testing.T) {
 		t.Fatalf("eviction bound breached: %d entries", sem.Len())
 	}
 }
+
+// TestConditionedReportNotServedVerbatim: a job conditioned on a
+// different workload carries verdicts it adopted without checking, so
+// a later trace with the same signature must not be served that report
+// verbatim. It may condition on it instead.
+func TestConditionedReportNotServedVerbatim(t *testing.T) {
+	sim := workloadSim(t, "ior-hard", "openpmd-baseline")
+	if sim >= 0.99 {
+		t.Fatalf("signature extractor cannot separate ior-hard from openpmd-baseline (cosine %.4f)", sim)
+	}
+	sem := openSemStore(t, semcache.Options{})
+	svc := openService(t, Config{
+		Workers:  1,
+		SemCache: sem,
+		// openpmd-baseline conditions on ior-hard; a copy of it (cosine
+		// 1) would be served verbatim by any neighbor that allowed it.
+		SemReuseThreshold:     (sim + 1) / 2,
+		SemConditionThreshold: sim - 0.001,
+	})
+	submit := func(name string, trace []byte) Job {
+		t.Helper()
+		j, _, err := svc.Submit(name, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waitDone(t, svc, j.ID)
+	}
+	full := submit("ior-hard", textTrace(t, "ior-hard", 1))
+	if full.State != StateDone || full.ReusedFrom != nil {
+		t.Fatalf("cold job: state %s, reuse %+v", full.State, full.ReusedFrom)
+	}
+	cond := submit("openpmd-v1", textTrace(t, "openpmd-baseline", 1))
+	if cond.State != StateDone || cond.ReusedFrom == nil || cond.ReusedFrom.Mode != ReuseConditioned {
+		t.Fatalf("openpmd-baseline was not conditioned on ior-hard: state %s, reuse %+v", cond.State, cond.ReusedFrom)
+	}
+	again := submit("openpmd-v2", textTrace(t, "openpmd-baseline", 2))
+	if again.State == StateReused {
+		t.Fatalf("same-signature trace served verbatim from conditioned job %s: %+v", cond.ID, again.ReusedFrom)
+	}
+	if again.State != StateDone || again.ReusedFrom == nil || again.ReusedFrom.Mode != ReuseConditioned ||
+		again.ReusedFrom.From != cond.ID {
+		t.Fatalf("same-signature trace: state %s, reuse %+v; want conditioned on %s", again.State, again.ReusedFrom, cond.ID)
+	}
+}

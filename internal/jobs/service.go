@@ -228,11 +228,12 @@ type Service struct {
 	closed bool
 	busy   int
 
-	// preParsed hands logs parsed during streamed ingestion to the
-	// worker that runs the job, so the parse that overlapped the upload
-	// is not repeated. Bounded FIFO keyed by trace hash.
-	preParsed      map[string]*darshan.Log
-	preParsedOrder []string
+	// preParsed hands the parse done at admission (whole-body
+	// validation or the streamed upload) to the worker that runs the
+	// job, so a job's trace is parsed once. Keyed by job id; an entry
+	// lives from admit until a worker picks the job up, and at most
+	// maxPreParsed wait at once.
+	preParsed map[string]parsedTrace
 
 	submitted, completed, failed, retried, cacheHits, recovered int64
 	semHits, semConditioned, semAdopted                         int64
@@ -241,8 +242,17 @@ type Service struct {
 // defaultStreamMaxBuffer bounds in-flight streaming-upload memory.
 const defaultStreamMaxBuffer = 256 << 20
 
-// maxPreParsed bounds how many streamed parses wait for their worker.
+// maxPreParsed bounds how many admission-time parses wait for their
+// worker; jobs admitted beyond it are parsed again by the worker.
 const maxPreParsed = 8
+
+// parsedTrace is a trace parsed at admission. start and end time the
+// whole-body parse for the job's timeline; a streamed parse overlapped
+// the upload and leaves them zero.
+type parsedTrace struct {
+	log        *darshan.Log
+	start, end time.Time
+}
 
 // Open starts a Service over cfg.Dir, recovering any jobs a previous
 // process left queued or in flight (they restart as queued).
@@ -297,7 +307,7 @@ func Open(cfg Config) (*Service, error) {
 		jobs:      make(map[string]*Job, len(existing)),
 		done:      make(map[string]chan struct{}, len(existing)),
 		byHash:    make(map[string]string, len(existing)),
-		preParsed: make(map[string]*darshan.Log),
+		preParsed: make(map[string]parsedTrace),
 	}
 	s.shadowCtx, s.shadowCancel = context.WithCancel(ctx)
 	s.shadowSem = make(chan struct{}, cfg.ShadowConcurrency)
@@ -518,19 +528,23 @@ func (s *Service) Draining() bool {
 // capacity, ErrBadTrace when the bytes do not parse, ErrClosed after
 // shutdown has begun.
 func (s *Service) Submit(name string, trace []byte) (Job, bool, error) {
-	if _, err := s.parseTrace(context.Background(), trace); err != nil {
+	start := time.Now()
+	log, err := s.parseTrace(context.Background(), trace)
+	if err != nil {
 		return Job{}, false, err
 	}
+	pre := parsedTrace{log: log, start: start, end: time.Now()}
 	sum := sha256.Sum256(trace)
 	hash := hex.EncodeToString(sum[:])
 	ingest := &Ingest{Mode: IngestBody, Bytes: int64(len(trace))}
-	return s.admit(name, hash, trace, ingest)
+	return s.admit(name, hash, trace, ingest, pre)
 }
 
 // admit runs the post-validation half of a submission — dedup lookup,
 // queue admission, persistence, enqueue — shared by the whole-body and
-// streaming paths. hash is the hex SHA-256 of trace.
-func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest) (Job, bool, error) {
+// streaming paths. hash is the hex SHA-256 of trace; pre is its parse,
+// parked for the worker when a new job is created.
+func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest, pre parsedTrace) (Job, bool, error) {
 	if name == "" {
 		name = "trace-" + hash[:8]
 	}
@@ -570,6 +584,9 @@ func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest) (Job, b
 	s.done[j.ID] = make(chan struct{})
 	s.byHash[hash] = j.ID
 	s.submitted++
+	if len(s.preParsed) < maxPreParsed {
+		s.preParsed[j.ID] = pre
+	}
 	select {
 	case s.queue <- j.ID:
 	default:
@@ -578,6 +595,7 @@ func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest) (Job, b
 		delete(s.jobs, j.ID)
 		delete(s.done, j.ID)
 		delete(s.byHash, hash)
+		delete(s.preParsed, j.ID)
 		s.submitted--
 		return Job{}, false, ErrQueueFull
 	}
@@ -748,14 +766,17 @@ func (s *Service) worker() {
 	}
 }
 
-// run executes one job: parse the stored trace, extract its tables
-// (or reuse the extract cache keyed by trace hash, skipping both
-// stages), then run the analysis with a per-attempt timeout, retrying
-// transient failures with backoff + jitter. The whole execution is
-// traced; the span timeline is persisted next to the report (win or
-// lose) and folded into the stage-latency histogram.
+// run executes one job: take the trace parsed at admission (or parse
+// the stored trace), extract its tables (or reuse the extract cache
+// keyed by trace hash, skipping both stages), then run the analysis
+// with a per-attempt timeout, retrying transient failures with
+// backoff + jitter. The whole execution is traced; the span timeline
+// is persisted next to the report (win or lose) and folded into the
+// stage-latency histogram.
 func (s *Service) run(id string) {
 	s.mu.Lock()
+	pre, parked := s.preParsed[id]
+	delete(s.preParsed, id)
 	j, ok := s.jobs[id]
 	if !ok || j.State.Terminal() {
 		s.mu.Unlock()
@@ -786,33 +807,38 @@ func (s *Service) run(id string) {
 		return
 	}
 
-	trace, err := s.store.Trace(id)
-	if err == nil {
-		var log *darshan.Log
-		if pre := s.takePreParsed(hash); pre != nil {
-			// Streamed ingestion already parsed this trace while the
-			// body was uploading; don't repeat the work.
-			root.Annotate("parse", "streamed")
-			logger.Info("using parse from streamed ingestion", "hash", hash[:12])
-			log = pre
-		} else {
+	var log *darshan.Log
+	var err error
+	switch {
+	case parked && pre.start.IsZero():
+		// Streamed ingestion parsed this trace while the body was
+		// uploading.
+		root.Annotate("parse", "streamed")
+		logger.Info("using parse from streamed ingestion", "hash", hash[:12])
+		log = pre.log
+	case parked:
+		obs.RecordSpan(ctx, "parse", pre.start, pre.end, obs.L("at", "submit"))
+		log = pre.log
+	default:
+		var trace []byte
+		if trace, err = s.store.Trace(id); err == nil {
 			pctx, span := obs.StartSpan(ctx, "parse")
 			log, err = s.parseTrace(pctx, trace)
 			span.SetError(err)
 			span.End()
 		}
+	}
+	if err == nil {
+		ectx, espan := obs.StartSpan(ctx, "extract")
+		var out *extractor.Output
+		out, err = extractor.ExtractToDirContext(ectx, log, s.store.WorkDir(id))
+		espan.SetError(err)
+		espan.End()
 		if err == nil {
-			ectx, espan := obs.StartSpan(ctx, "extract")
-			out, eerr := extractor.ExtractToDirContext(ectx, log, s.store.WorkDir(id))
-			espan.SetError(eerr)
-			espan.End()
-			if eerr == nil {
-				s.cache.put(hash, out)
-				state, cause := s.diagnose(ctx, id, hash, out)
-				s.settle(id, state, cause, tracer, root)
-				return
-			}
-			err = eerr
+			s.cache.put(hash, out)
+			state, cause := s.diagnose(ctx, id, hash, out)
+			s.settle(id, state, cause, tracer, root)
+			return
 		}
 	}
 	logger.Error("job unrunnable", "err", err)
@@ -1066,40 +1092,6 @@ func parseTraceOpts(data []byte, opts darshan.ParallelOptions) (*darshan.Log, er
 		return nil, fmt.Errorf("%w: no module records", ErrBadTrace)
 	}
 	return log, nil
-}
-
-// putPreParsed stores a streamed upload's parsed log for the worker
-// that will run its job, bounded FIFO so abandoned entries cannot
-// accumulate. Caller must hold s.mu.
-func (s *Service) putPreParsedLocked(hash string, log *darshan.Log) {
-	if _, ok := s.preParsed[hash]; !ok {
-		s.preParsedOrder = append(s.preParsedOrder, hash)
-	}
-	s.preParsed[hash] = log
-	for len(s.preParsedOrder) > maxPreParsed {
-		evict := s.preParsedOrder[0]
-		s.preParsedOrder = s.preParsedOrder[1:]
-		delete(s.preParsed, evict)
-	}
-}
-
-// takePreParsed removes and returns the pre-parsed log for hash, if a
-// streamed upload left one.
-func (s *Service) takePreParsed(hash string) *darshan.Log {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	log, ok := s.preParsed[hash]
-	if !ok {
-		return nil
-	}
-	delete(s.preParsed, hash)
-	for i, h := range s.preParsedOrder {
-		if h == hash {
-			s.preParsedOrder = append(s.preParsedOrder[:i], s.preParsedOrder[i+1:]...)
-			break
-		}
-	}
-	return log
 }
 
 // newID returns a fresh job id: "j-" + 12 random hex chars.

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"ion/internal/darshan"
 	"ion/internal/expertsim"
 	"ion/internal/llm"
+	"ion/internal/obs"
 	"ion/internal/testutil"
 )
 
@@ -421,5 +424,84 @@ func TestConcurrentSubmitPollShutdown(t *testing.T) {
 	}
 	if st.CacheHits == 0 {
 		t.Errorf("no dedup hits across %d submissions of %d variants", st.Submitted, len(variants))
+	}
+}
+
+// TestWholeBodyJobParsesOnce: the parse Submit does to validate a
+// whole-body trace is the job's only parse. The worker takes it over,
+// and the job's timeline keeps it as a parse span annotated at=submit
+// under the root job span.
+func TestWholeBodyJobParsesOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	svc := openService(t, Config{Workers: 1, Obs: reg, ParseWorkers: 2})
+	data := textTrace(t, "ior-hard", 1)
+	var oneParse atomic.Int64
+	_, err := darshan.ParseTextParallelOpts(data, darshan.ParallelOptions{
+		Workers: 2,
+		OnShard: func(int, []byte) func(error) { oneParse.Add(1); return func(error) {} },
+	})
+	if err != nil || oneParse.Load() == 0 {
+		t.Fatalf("reference parse: %d shards, err %v", oneParse.Load(), err)
+	}
+
+	before := gatherGauge(t, reg, "ion_parse_shards_total")
+	j, _, err := svc.Submit("ior-hard", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitDone(t, svc, j.ID); final.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", final.State, final.Error)
+	}
+	if got := gatherGauge(t, reg, "ion_parse_shards_total") - before; got != float64(oneParse.Load()) {
+		t.Errorf("job parsed %v shards, one parse is %d", got, oneParse.Load())
+	}
+
+	raw, err := svc.Store().Timeline(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tl obs.Timeline
+	if err := json.Unmarshal(raw, &tl); err != nil {
+		t.Fatal(err)
+	}
+	if roots := tl.Roots(); len(roots) != 1 || tl.Spans[0].Name != "job" {
+		t.Fatalf("timeline roots = %v, first span %q; want a single job root first", roots, tl.Spans[0].Name)
+	}
+	parses := 0
+	for _, sp := range tl.Spans {
+		if sp.Name != "parse" {
+			continue
+		}
+		parses++
+		if sp.Attrs["at"] != "submit" || sp.Parent != tl.Spans[0].ID || sp.Seconds <= 0 {
+			t.Errorf("parse span = %+v, want a timed at=submit child of the job span", sp)
+		}
+		if !sp.Start.Before(tl.Spans[0].Start) {
+			t.Errorf("parse span starts %v, not before the job span's %v", sp.Start, tl.Spans[0].Start)
+		}
+	}
+	if parses != 1 {
+		t.Errorf("timeline has %d parse spans, want 1", parses)
+	}
+}
+
+// TestDedupHitKeepsParkedParse: a duplicate submission answered from
+// the dedup cache leaves the original job's parked parse alone.
+func TestDedupHitKeepsParkedParse(t *testing.T) {
+	svc := openService(t, Config{Paused: true})
+	data := traceBytes(t, "ior-hard")
+	j1, _, err := svc.Submit("first", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, dedup, err := svc.Submit("again", data); err != nil || !dedup {
+		t.Fatalf("resubmission: dedup %v, err %v", dedup, err)
+	}
+	svc.mu.Lock()
+	_, parked := svc.preParsed[j1.ID]
+	n := len(svc.preParsed)
+	svc.mu.Unlock()
+	if !parked || n != 1 {
+		t.Errorf("after dedup hit: job %s parked %v, %d parked in all; want its parse kept and no other", j1.ID, parked, n)
 	}
 }

@@ -107,15 +107,7 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 		Shards:          sp.Shards(),
 		ParseOverlapped: sp.EarlyShards() > 0,
 	}
-	// Park the parsed log for the worker before the job becomes
-	// runnable, so the overlapped parse is never repeated.
-	s.mu.Lock()
-	s.putPreParsedLocked(hash, log)
-	s.mu.Unlock()
-	job, dedup, err := s.admit(name, hash, data, ingest)
-	if err != nil || dedup {
-		s.takePreParsed(hash)
-	}
+	job, dedup, err := s.admit(name, hash, data, ingest, parsedTrace{log: log})
 	if err == nil && !dedup {
 		s.log.Info("streamed submission parsed during upload",
 			"job", job.ID, "shards", sp.Shards(), "early_shards", sp.EarlyShards(),

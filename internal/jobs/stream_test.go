@@ -92,15 +92,15 @@ func TestSubmitStreamDedupAcrossPaths(t *testing.T) {
 	if !dedup || j2.ID != j1.ID {
 		t.Fatalf("streamed copy not deduplicated: dedup=%v id=%s want %s", dedup, j2.ID, j1.ID)
 	}
-	// The dedup hit parked a pre-parsed log that no worker will claim;
-	// it must have been reclaimed.
+	// The dedup hit parks nothing, and the first job's own parse is
+	// consumed by its worker.
+	waitDone(t, svc, j1.ID)
 	svc.mu.Lock()
 	parked := len(svc.preParsed)
 	svc.mu.Unlock()
 	if parked != 0 {
 		t.Errorf("%d pre-parsed logs leaked after dedup hit", parked)
 	}
-	waitDone(t, svc, j1.ID)
 }
 
 func TestSubmitStreamMatchesBodyReport(t *testing.T) {

@@ -62,6 +62,20 @@ func StartSpan(ctx context.Context, name string, attrs ...Label) (context.Contex
 	return context.WithValue(ctx, spanKey, s), s
 }
 
+// RecordSpan adds an already finished span named name, with the given
+// start and end, under the context's current span: work done for this
+// run before its span tree existed, such as a parse at admission time.
+// Without a tracer in ctx it does nothing.
+func RecordSpan(ctx context.Context, name string, start, end time.Time, attrs ...Label) {
+	_, s := StartSpan(ctx, name, attrs...)
+	if s.t == nil {
+		return
+	}
+	s.t.mu.Lock()
+	s.start, s.end = start, end
+	s.t.mu.Unlock()
+}
+
 // Span is one timed operation. The zero Span is a valid no-op.
 type Span struct {
 	t          *Tracer
@@ -118,8 +132,9 @@ type SpanRecord struct {
 }
 
 // Timeline is a JSON-serializable snapshot of one traced run: the span
-// tree, ordered by start time (ties break by id, so a parent always
-// precedes the children it started).
+// tree, ordered by start time (ties break by id). A parent always
+// precedes its children: a span recorded with a start before its
+// parent's (RecordSpan) is placed as if it started with the parent.
 type Timeline struct {
 	Trace string       `json:"trace,omitempty"`
 	Spans []SpanRecord `json:"spans"`
@@ -131,7 +146,16 @@ func (t *Tracer) Timeline() Timeline {
 	now := time.Now()
 	t.mu.Lock()
 	recs := make([]SpanRecord, 0, len(t.spans))
+	// Span ids run 1..n in creation order, parents first, so one pass
+	// settles every span's ordering time: its start, or its parent's
+	// ordering time if that is later. (A parent id not below the span's
+	// own came from another tracer's context and is ignored.)
+	order := make([]time.Time, len(t.spans)+1)
 	for _, s := range t.spans {
+		order[s.id] = s.start
+		if s.parent > 0 && s.parent < s.id && order[s.parent].After(s.start) {
+			order[s.id] = order[s.parent]
+		}
 		end := s.end
 		if end.IsZero() {
 			end = now
@@ -154,8 +178,9 @@ func (t *Tracer) Timeline() Timeline {
 	}
 	t.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool {
-		if !recs[i].Start.Equal(recs[j].Start) {
-			return recs[i].Start.Before(recs[j].Start)
+		a, b := order[recs[i].ID], order[recs[j].ID]
+		if !a.Equal(b) {
+			return a.Before(b)
 		}
 		return recs[i].ID < recs[j].ID
 	})

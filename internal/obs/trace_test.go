@@ -132,3 +132,34 @@ func TestObserveStagesAndSummarize(t *testing.T) {
 		t.Errorf("diagnose stats inconsistent: %+v", stats[0])
 	}
 }
+
+// TestRecordSpanBeforeParent records a child whose interval precedes
+// its parent's start, as the job worker does with the admission-time
+// parse: the record keeps its own times, and the timeline still lists
+// the parent first.
+func TestRecordSpanBeforeParent(t *testing.T) {
+	tr := NewTracer()
+	ctx := WithTracer(context.Background(), tr)
+	start := time.Now()
+	end := start.Add(5 * time.Millisecond)
+	time.Sleep(10 * time.Millisecond)
+	rctx, root := StartSpan(ctx, "job")
+	RecordSpan(rctx, "parse", start, end, L("at", "submit"))
+	_, later := StartSpan(rctx, "extract")
+	later.End()
+	root.End()
+
+	tl := tr.Timeline()
+	var names []string
+	for _, s := range tl.Spans {
+		names = append(names, s.Name)
+	}
+	if len(names) != 3 || names[0] != "job" || names[1] != "parse" || names[2] != "extract" {
+		t.Fatalf("timeline order = %v, want [job parse extract]", names)
+	}
+	p := tl.Spans[1]
+	if !p.Start.Equal(start) || p.Seconds != end.Sub(start).Seconds() || p.Attrs["at"] != "submit" || p.Parent != tl.Spans[0].ID {
+		t.Errorf("parse record = %+v, want its own interval under the job span", p)
+	}
+	RecordSpan(context.Background(), "parse", start, end) // no tracer: no-op
+}
