@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ion/internal/journal/journaltest"
 	"ion/internal/llm"
 	"ion/internal/obs"
 	"ion/internal/prompt"
@@ -135,31 +136,6 @@ func TestStoreRestartReplayAndSupersede(t *testing.T) {
 	}
 }
 
-func TestStoreTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	st := testStore(t, StoreOptions{Path: path})
-	st.Append(entry("e-1", "j", "b"))
-	st.Append(entry("e-2", "j", "b"))
-	st.Close()
-	// Simulate a crash mid-append: torn partial record, no newline.
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString(`{"id":"e-torn","backend":"b","tok`)
-	f.Close()
-
-	st2 := testStore(t, StoreOptions{Path: path})
-	if st2.Len() != 2 {
-		t.Fatalf("torn tail: Len = %d, want 2", st2.Len())
-	}
-	// The torn line was newline-terminated at open, so a new append
-	// starts a clean record and survives another restart.
-	st2.Append(entry("e-3", "j", "b"))
-	st2.Close()
-	st3 := testStore(t, StoreOptions{Path: path})
-	if st3.Len() != 3 {
-		t.Fatalf("append after torn tail: Len = %d, want 3", st3.Len())
-	}
-}
-
 func TestStoreRetention(t *testing.T) {
 	st := testStore(t, StoreOptions{MaxEntries: 3})
 	for i := 0; i < 10; i++ {
@@ -171,50 +147,10 @@ func TestStoreRetention(t *testing.T) {
 	if st.Entries(Filter{})[0].ID != "e-9" {
 		t.Fatal("count bound evicted the wrong end")
 	}
+	// Lifetime totals keep what retention dropped.
 	tot := st.Totals()
 	if tot.Calls != 10 || tot.Evicted != 7 {
 		t.Fatalf("Totals = %+v, want Calls 10 Evicted 7", tot)
-	}
-
-	// Byte bound.
-	stb := testStore(t, StoreOptions{MaxBytes: 800})
-	for i := 0; i < 10; i++ {
-		stb.Append(entry(fmt.Sprintf("e-%d", i), "j", "b"))
-	}
-	if stb.Bytes() > 800 || stb.Len() == 0 {
-		t.Fatalf("byte bound: bytes=%d len=%d", stb.Bytes(), stb.Len())
-	}
-
-	// Age bound, relative to the newest entry.
-	sta := testStore(t, StoreOptions{MaxAge: time.Hour})
-	old := entry("e-old", "j", "b")
-	old.Time = time.Now().UTC().Add(-2 * time.Hour)
-	sta.Append(old)
-	sta.Append(entry("e-new", "j", "b"))
-	if sta.Len() != 1 || sta.Entries(Filter{})[0].ID != "e-new" {
-		t.Fatalf("age bound kept %+v", sta.Entries(Filter{}))
-	}
-}
-
-func TestStoreCompaction(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	st := testStore(t, StoreOptions{Path: path, MaxEntries: 4})
-	for i := 0; i < 200; i++ {
-		st.Append(entry(fmt.Sprintf("e-%d", i), "j", "b"))
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatalf("stat: %v", err)
-	}
-	// Without compaction the journal would hold 200 records (~40KB);
-	// compaction keeps it near the 4 live entries.
-	if info.Size() > 8<<10 {
-		t.Fatalf("journal not compacted: %d bytes", info.Size())
-	}
-	st.Close()
-	st2 := testStore(t, StoreOptions{Path: path, MaxEntries: 4})
-	if st2.Len() != 4 || st2.Entries(Filter{})[0].ID != "e-199" {
-		t.Fatalf("post-compaction replay: len=%d first=%v", st2.Len(), st2.Entries(Filter{})[0].ID)
 	}
 }
 
@@ -459,3 +395,40 @@ func TestPromptHashStability(t *testing.T) {
 		t.Fatal("PromptHash ignores message content")
 	}
 }
+
+// journalStore adapts Store to the journal conformance suite. Record n
+// is entry k-n at Base + n minutes; the version is kept in TokensIn.
+type journalStore struct{ s *Store }
+
+var journalHarness = journaltest.Harness{Open: func(path string, b journaltest.Bounds) (journaltest.Store, error) {
+	s, err := Open(StoreOptions{Path: path, MaxEntries: b.Entries, MaxBytes: b.Bytes, MaxAge: b.Age})
+	return journalStore{s}, err
+}, Aged: true}
+
+func (a journalStore) Put(n, ver int) error {
+	return a.s.Append(Entry{ID: fmt.Sprintf("k-%03d", n), Time: journaltest.Base.Add(time.Duration(n) * time.Minute),
+		Job: "j", Template: "diagnosis", PromptSHA: fmt.Sprintf("%064d", n), Backend: "b", Model: "m",
+		TokensIn: ver, TokensOut: 5, LatencyMS: 1.5, Outcome: "ok", CostUSD: 0.25})
+}
+func (a journalStore) Get(n int) (int, bool) {
+	for _, e := range a.s.Entries(Filter{}) {
+		if e.ID == fmt.Sprintf("k-%03d", n) {
+			return e.TokensIn, true
+		}
+	}
+	return 0, false
+}
+func (a journalStore) Delete(int) error { return nil }
+func (a journalStore) Len() int         { return a.s.Len() }
+func (a journalStore) Close() error     { return a.s.Close() }
+func (a journalStore) Counters() journaltest.Counters {
+	t := a.s.Totals()
+	return journaltest.Counters{Bytes: t.Bytes, Evicted: t.Evicted, WriteErrors: t.WriteErrors}
+}
+
+func TestJournalConformance(t *testing.T) { journaltest.Run(t, journalHarness) }
+func TestStoreNilReceiver(t *testing.T)   { journaltest.NilReceiver(t, journalStore{}) }
+
+// Earlier names of suite cases, kept as stable test ids.
+func TestStoreTornTail(t *testing.T)   { journaltest.TornTail(t, journalHarness) }
+func TestStoreCompaction(t *testing.T) { journaltest.Compaction(t, journalHarness) }

@@ -1,12 +1,10 @@
 package ledger
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 
+	"ion/internal/journal"
 	"ion/internal/llm"
 )
 
@@ -25,27 +23,14 @@ type Replay struct {
 // store replay; a file with zero replayable entries is an error — a
 // hash-only ledger cannot answer prompts.
 func NewReplay(path string, fallback llm.Client) (*Replay, error) {
-	f, err := os.Open(path)
+	entries := map[string]Entry{}
+	err := journal.Scan(path, func(e Entry) {
+		if e.PromptSHA != "" && e.ResponseText != "" {
+			entries[e.PromptSHA] = e
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("ledger: replay: %w", err)
-	}
-	defer f.Close()
-	entries := map[string]Entry{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue
-		}
-		if e.PromptSHA == "" || e.ResponseText == "" {
-			continue
-		}
-		entries[e.PromptSHA] = e
 	}
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("ledger: replay: %s has no text-captured entries (record with -ledger-capture-text)", path)

@@ -1,13 +1,10 @@
 package prof
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"time"
+
+	"ion/internal/journal"
 )
 
 // Window is one decoded profile window: the journal record, the API
@@ -93,26 +90,14 @@ func (o *StoreOptions) applyDefaults() {
 }
 
 // Store is the journaled, retention-bounded profile window store:
-// windows append to a JSON-lines journal under the service data dir
-// (same replay/compaction discipline as the semantic cache journal), so
-// a restarted process keeps its profile history. All methods are safe
-// for concurrent use and safe on a nil receiver.
+// windows append to an internal/journal JSON-lines journal under the
+// service data dir, so a restarted process keeps its profile history.
+// Windows are keyed by ID; the age bound is clocked off the End of the
+// window just added. All methods are safe for concurrent use and safe
+// on a nil receiver.
 type Store struct {
-	mu   sync.Mutex
 	opts StoreOptions
-	file *os.File
-	wins []storedWindow // oldest first
-	size int64
-	// lines counts journal records since the last compaction; evictions
-	// are not journaled, so compaction triggers when dead lines
-	// outnumber live windows.
-	lines   int
-	evicted int64
-}
-
-type storedWindow struct {
-	w    Window
-	size int64
+	j    *journal.Journal[Window]
 }
 
 // OpenStore loads (or creates) the journal at opts.Path, replaying it
@@ -123,100 +108,20 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 		return nil, fmt.Errorf("prof: StoreOptions.Path is required")
 	}
 	opts.applyDefaults()
-	if err := os.MkdirAll(filepath.Dir(opts.Path), 0o755); err != nil {
-		return nil, fmt.Errorf("prof: %w", err)
-	}
-	st := &Store{opts: opts}
-	if err := st.replay(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(opts.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := journal.Open(journal.Config[Window]{
+		Path:       opts.Path,
+		Key:        func(w Window) string { return w.ID },
+		Valid:      func(w Window) bool { return w.ID != "" && w.Kind != "" },
+		Size:       Window.size,
+		MaxEntries: opts.MaxWindows,
+		MaxBytes:   opts.MaxBytes,
+		MaxAge:     opts.Retention,
+		Time:       func(w Window) time.Time { return w.End },
+	})
 	if err != nil {
 		return nil, fmt.Errorf("prof: %w", err)
 	}
-	// A crash can leave the journal without a final newline; terminate
-	// the torn line so the next append starts a fresh record instead of
-	// concatenating onto garbage.
-	if info, err := f.Stat(); err == nil && info.Size() > 0 {
-		tail := make([]byte, 1)
-		if rf, err := os.Open(opts.Path); err == nil {
-			if _, err := rf.ReadAt(tail, info.Size()-1); err == nil && tail[0] != '\n' {
-				f.Write([]byte{'\n'})
-			}
-			rf.Close()
-		}
-	}
-	st.file = f
-	return st, nil
-}
-
-// replay loads the journal into memory, oldest first.
-func (st *Store) replay() error {
-	f, err := os.Open(st.opts.Path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("prof: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	for sc.Scan() {
-		st.lines++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var w Window
-		if err := json.Unmarshal(line, &w); err != nil {
-			continue
-		}
-		if w.ID == "" || w.Kind == "" {
-			continue
-		}
-		st.insertLocked(w)
-	}
-	// Scanner errors (a torn oversized tail) degrade to a partial load,
-	// same policy as unreadable lines.
-	return nil
-}
-
-// insertLocked appends a window and applies the bounds. A re-written
-// ID (same window journaled twice) supersedes the earlier record.
-func (st *Store) insertLocked(w Window) {
-	for i := range st.wins {
-		if st.wins[i].w.ID == w.ID {
-			st.size -= st.wins[i].size
-			st.wins = append(st.wins[:i], st.wins[i+1:]...)
-			break
-		}
-	}
-	sw := storedWindow{w: w, size: w.size()}
-	st.wins = append(st.wins, sw)
-	st.size += sw.size
-	st.evictLocked(w.End)
-}
-
-// evictLocked drops oldest-first until the age, count, and byte bounds
-// hold, keeping at least the newest window.
-func (st *Store) evictLocked(now time.Time) {
-	cutoff := time.Time{}
-	if st.opts.Retention > 0 {
-		cutoff = now.Add(-st.opts.Retention)
-	}
-	for len(st.wins) > 1 {
-		victim := st.wins[0]
-		over := (st.opts.MaxWindows > 0 && len(st.wins) > st.opts.MaxWindows) ||
-			(st.opts.MaxBytes > 0 && st.size > st.opts.MaxBytes) ||
-			(!cutoff.IsZero() && victim.w.End.Before(cutoff))
-		if !over {
-			return
-		}
-		st.size -= victim.size
-		st.wins = st.wins[1:]
-		st.evicted++
-	}
+	return &Store{opts: opts, j: j}, nil
 }
 
 // Add journals and retains one window.
@@ -227,74 +132,10 @@ func (st *Store) Add(w Window) error {
 	if w.ID == "" || w.Kind == "" {
 		return fmt.Errorf("prof: window needs an id and a kind")
 	}
-	line, err := json.Marshal(w)
-	if err != nil {
-		return fmt.Errorf("prof: %w", err)
+	if err := st.j.Put(w); err != nil {
+		return fmt.Errorf("prof: journaling window: %w", err)
 	}
-	line = append(line, '\n')
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.file != nil {
-		if _, err := st.file.Write(line); err != nil {
-			return fmt.Errorf("prof: journaling window: %w", err)
-		}
-		st.lines++
-	}
-	st.insertLocked(w)
-	st.compactLocked()
 	return nil
-}
-
-// compactLocked rewrites the journal when evicted lines outnumber live
-// windows, via temp file + rename so a crash mid-compact leaves the
-// old journal intact.
-func (st *Store) compactLocked() {
-	if st.file == nil || st.lines <= 2*len(st.wins)+16 {
-		return
-	}
-	tmp := st.opts.Path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	w := bufio.NewWriter(f)
-	n := 0
-	for _, sw := range st.wins {
-		line, err := json.Marshal(sw.w)
-		if err != nil {
-			continue
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return
-		}
-		n++
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, st.opts.Path); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	old := st.file
-	nf, err := os.OpenFile(st.opts.Path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// Keep appending to the renamed-over handle; only post-compaction
-		// writes are lost on this degenerate path.
-		return
-	}
-	old.Close()
-	st.file = nf
-	st.lines = n
 }
 
 // Windows returns retained windows newest first, filtered by kind
@@ -303,18 +144,13 @@ func (st *Store) Windows(kind string, limit int) []Window {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]Window, 0, len(st.wins))
-	for i := len(st.wins) - 1; i >= 0; i-- {
-		if kind != "" && st.wins[i].w.Kind != kind {
-			continue
+	out := []Window{}
+	st.j.Each(func(w Window) bool {
+		if kind == "" || w.Kind == kind {
+			out = append(out, w)
 		}
-		out = append(out, st.wins[i].w)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
+		return limit <= 0 || len(out) < limit
+	})
 	return out
 }
 
@@ -323,14 +159,7 @@ func (st *Store) Get(id string) (Window, bool) {
 	if st == nil {
 		return Window{}, false
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i := len(st.wins) - 1; i >= 0; i-- {
-		if st.wins[i].w.ID == id {
-			return st.wins[i].w, true
-		}
-	}
-	return Window{}, false
+	return st.j.Get(id)
 }
 
 // Latest returns the newest window of the given kind.
@@ -347,9 +176,7 @@ func (st *Store) Len() int {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.wins)
+	return st.j.Len()
 }
 
 // Bytes returns the estimated retained bytes.
@@ -357,9 +184,7 @@ func (st *Store) Bytes() int64 {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.size
+	return st.j.Stats().Bytes
 }
 
 // Evicted returns how many windows retention has dropped.
@@ -367,9 +192,16 @@ func (st *Store) Evicted() int64 {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.evicted
+	return st.j.Stats().Evicted
+}
+
+// WriteErrors returns how many journal appends failed (see
+// internal/journal).
+func (st *Store) WriteErrors() int64 {
+	if st == nil {
+		return 0
+	}
+	return st.j.Stats().WriteErrors
 }
 
 // Close flushes and closes the journal.
@@ -377,12 +209,5 @@ func (st *Store) Close() error {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.file == nil {
-		return nil
-	}
-	err := st.file.Close()
-	st.file = nil
-	return err
+	return st.j.Close()
 }

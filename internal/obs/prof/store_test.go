@@ -2,11 +2,11 @@ package prof
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
+
+	"ion/internal/journal/journaltest"
 )
 
 func testWindow(kind string, n int, at time.Time) Window {
@@ -77,157 +77,63 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestStoreSupersedeByID(t *testing.T) {
-	st := openTestStore(t, t.TempDir(), StoreOptions{})
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	w := testWindow("cpu", 1, base)
-	st.Add(w)
-	w.Total = 9999
-	st.Add(w)
-	if st.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (same ID supersedes)", st.Len())
-	}
-	got, _ := st.Get(w.ID)
-	if got.Total != 9999 {
-		t.Fatalf("total = %d, want the superseding record", got.Total)
-	}
-}
-
-func TestStoreCountAndAgeEviction(t *testing.T) {
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	st := openTestStore(t, t.TempDir(), StoreOptions{MaxWindows: 3, Retention: -1})
-	for i := 0; i < 10; i++ {
-		st.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	if st.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (count bound)", st.Len())
-	}
-	if _, ok := st.Get("w-cpu-0"); ok {
-		t.Fatal("oldest window survived the count bound")
-	}
-	if st.Evicted() != 7 {
-		t.Fatalf("evicted = %d, want 7", st.Evicted())
-	}
-
-	// Age bound: a new window an hour later expires everything older
-	// than the retention, measured against the newest End.
-	st2 := openTestStore(t, t.TempDir(), StoreOptions{Retention: 10 * time.Minute, MaxWindows: -1})
-	for i := 0; i < 5; i++ {
-		st2.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	if st2.Len() != 5 {
-		t.Fatalf("len = %d, want 5 before the gap", st2.Len())
-	}
-	st2.Add(testWindow("cpu", 99, base.Add(time.Hour)))
-	if st2.Len() != 1 {
-		t.Fatalf("len = %d, want 1 after the age bound", st2.Len())
-	}
-}
-
-func TestStoreByteBound(t *testing.T) {
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	w := testWindow("cpu", 0, base)
-	per := w.size()
-	st := openTestStore(t, t.TempDir(), StoreOptions{MaxBytes: per * 3, MaxWindows: -1, Retention: -1})
-	for i := 0; i < 10; i++ {
-		st.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	if st.Len() > 3 {
-		t.Fatalf("len = %d, want ≤3 under the byte bound", st.Len())
-	}
-	if st.Bytes() > per*3 {
-		t.Fatalf("bytes = %d, want ≤ %d", st.Bytes(), per*3)
-	}
-}
-
-// TestStoreTornTailReplay mixes garbage, a half-written JSON line, and
-// a blank line into the journal: replay must keep every intact record
-// and keep the store appendable.
-func TestStoreTornTailReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "windows.jsonl")
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	st := openTestStore(t, dir, StoreOptions{Path: path})
-	for i := 0; i < 3; i++ {
-		st.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	st.Close()
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("\n")
-	f.WriteString("{\"id\":\"w-cpu-valid\",\"kind\":\"cpu\",\"end\":\"2026-08-07T12:30:00Z\"}\n")
-	f.WriteString("not json at all\n")
-	f.WriteString(`{"id":"w-cpu-torn","kind":"cpu","total":12`) // no close, no newline
-	f.Close()
-
-	st2 := openTestStore(t, dir, StoreOptions{Path: path})
-	if st2.Len() != 4 {
-		t.Fatalf("replayed %d windows, want 4 (3 intact + 1 minimal)", st2.Len())
-	}
-	if _, ok := st2.Get("w-cpu-torn"); ok {
-		t.Fatal("torn tail record should have been skipped")
-	}
-	if _, ok := st2.Get("w-cpu-valid"); !ok {
-		t.Fatal("valid minimal record after garbage should replay")
-	}
-	// The store stays appendable after a dirty replay.
-	if err := st2.Add(testWindow("cpu", 50, base.Add(time.Hour))); err != nil {
-		t.Fatal(err)
-	}
-	st2.Close()
-	st3 := openTestStore(t, dir, StoreOptions{Path: path})
-	if _, ok := st3.Get("w-cpu-50"); !ok {
-		t.Fatal("post-replay append lost on reopen")
-	}
-}
-
-// TestStoreCompaction checks the journal is rewritten once dead lines
-// outnumber live windows, and that the compacted journal replays.
-func TestStoreCompaction(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "windows.jsonl")
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	st := openTestStore(t, dir, StoreOptions{Path: path, MaxWindows: 4, Retention: -1})
-	for i := 0; i < 80; i++ {
-		st.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	st.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(string(data), "\n")
-	if lines > 2*4+16 {
-		t.Fatalf("journal has %d lines after compaction, want ≤ %d", lines, 2*4+16)
-	}
-	st2 := openTestStore(t, dir, StoreOptions{Path: path, MaxWindows: 4, Retention: -1})
-	if st2.Len() != 4 {
-		t.Fatalf("compacted journal replayed %d windows, want 4", st2.Len())
-	}
-	if _, ok := st2.Get("w-cpu-79"); !ok {
-		t.Fatal("newest window missing after compaction")
-	}
-}
-
 func TestStoreNilSafe(t *testing.T) {
 	var st *Store
-	if err := st.Add(Window{ID: "x", Kind: "cpu"}); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 0 || st.Bytes() != 0 || st.Evicted() != 0 {
+	if st.Evicted() != 0 || st.WriteErrors() != 0 {
 		t.Fatal("nil store not empty")
 	}
 	if ws := st.Windows("", 0); ws != nil {
 		t.Fatal("nil store returned windows")
 	}
-	if _, ok := st.Get("x"); ok {
-		t.Fatal("nil store Get ok")
+	if _, ok := st.Latest("cpu"); ok {
+		t.Fatal("nil store Latest ok")
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	journaltest.NilReceiver(t, journalStore{})
+}
+
+// journalStore adapts Store to the journal conformance suite. Record n
+// is CPU window k-n ending at Base + n minutes; the version is kept in
+// Total.
+type journalStore struct{ s *Store }
+
+var journalHarness = journaltest.Harness{Open: func(path string, b journaltest.Bounds) (journaltest.Store, error) {
+	s, err := OpenStore(StoreOptions{Path: path, MaxWindows: b.Entries, MaxBytes: b.Bytes, Retention: b.Age})
+	return journalStore{s}, err
+}, Aged: true}
+
+func (a journalStore) Put(n, ver int) error {
+	at := journaltest.Base.Add(time.Duration(n) * time.Minute)
+	return a.s.Add(Window{ID: fmt.Sprintf("k-%03d", n), Kind: "cpu", Start: at.Add(-10 * time.Second), End: at,
+		Unit: "nanoseconds", Total: int64(ver),
+		Functions: []FuncStat{{Name: "main.work", Flat: 8, Cum: 9, FlatShare: 0.8, CumShare: 0.9}},
+		Stacks:    []Stack{{Frames: []string{"main.main", "main.work"}, Value: 8}}, KeptValue: 8})
+}
+func (a journalStore) Get(n int) (int, bool) {
+	w, ok := a.s.Get(fmt.Sprintf("k-%03d", n))
+	return int(w.Total), ok
+}
+func (a journalStore) Delete(int) error { return nil }
+func (a journalStore) Len() int         { return a.s.Len() }
+func (a journalStore) Close() error     { return a.s.Close() }
+func (a journalStore) Counters() journaltest.Counters {
+	return journaltest.Counters{Bytes: a.s.Bytes(), Evicted: a.s.Evicted(), WriteErrors: a.s.WriteErrors()}
+}
+
+func TestJournalConformance(t *testing.T) { journaltest.Run(t, journalHarness) }
+
+// Earlier names of suite cases, kept as stable test ids.
+func TestStoreSupersedeByID(t *testing.T) { journaltest.Supersede(t, journalHarness) }
+func TestStoreByteBound(t *testing.T)     { journaltest.ByteEviction(t, journalHarness) }
+func TestStoreCompaction(t *testing.T)    { journaltest.Compaction(t, journalHarness) }
+
+// TestStoreCountAndAgeEviction: the age bound is clocked off the End of
+// the window just added.
+func TestStoreCountAndAgeEviction(t *testing.T) {
+	journaltest.CountEviction(t, journalHarness)
+	journaltest.AgeEviction(t, journalHarness)
+}
+
+func TestStoreTornTailReplay(t *testing.T) {
+	journaltest.TornTail(t, journalHarness)
+	journaltest.CorruptTail(t, journalHarness)
 }

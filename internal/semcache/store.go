@@ -1,15 +1,12 @@
 package semcache
 
 import (
-	"bufio"
-	"container/list"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"ion/internal/journal"
 )
 
 // Defaults for Options left at zero.
@@ -88,23 +85,25 @@ type Stats struct {
 	Conditioned int64 `json:"conditioned"`
 	Misses      int64 `json:"misses"`
 	Evictions   int64 `json:"evictions"`
+	// WriteErrors counts journal appends that failed (see
+	// internal/journal).
+	WriteErrors int64 `json:"write_errors"`
 }
 
 // Store is the persistent signature store: an in-memory LRU over
-// entries, journaled as JSON lines so a restarted service reloads its
-// accumulated diagnoses. All methods are safe for concurrent use and
-// safe on a nil receiver (semantic cache disabled).
+// entries on an internal/journal JSON-lines journal, so a restarted
+// service reloads its accumulated diagnoses. All methods are safe for
+// concurrent use and safe on a nil receiver (semantic cache disabled).
 type Store struct {
-	mu    sync.Mutex
-	opts  Options
-	file  *os.File
-	byJob map[string]*list.Element
-	order *list.List // front = most recently used
-	size  int64
-	// lines counts journal records written since the last compaction;
-	// when it exceeds twice the live entry count the journal is
-	// rewritten in place.
-	lines int
+	opts Options
+	j    *journal.Journal[Entry]
+
+	mu sync.Mutex
+	// byHash maps a trace hash to the job of its live entry, so a re-run
+	// of the same trace bytes supersedes its prior entry in O(1). It goes
+	// stale when the journal evicts; a hit is checked before use and the
+	// map is rebuilt once stale hashes outnumber live entries.
+	byHash map[string]string
 
 	// weights holds the per-dimension trust learned from shadow-rerun
 	// verdict flips: dimensions whose deltas participated in a flipped
@@ -113,7 +112,7 @@ type Store struct {
 	// resets trust to 1.
 	weights []float64
 
-	lookups, hits, conditioned, misses, evictions int64
+	lookups, hits, conditioned, misses int64
 }
 
 // Flip-feedback tuning: each flip multiplies the implicated dimension
@@ -123,15 +122,11 @@ const (
 	weightFloor = 0.2
 )
 
-type storeEntry struct {
-	e    Entry
-	size int64
-}
-
 // Open loads (or creates) the store at opts.Path, replaying the
 // journal: later records supersede earlier ones with the same job id
-// or trace hash, tombstones delete, and the count/byte bounds are
-// enforced oldest-first.
+// or trace hash, tombstones delete, entries of another signature
+// version are dropped, and the count/byte bounds are enforced
+// oldest-first.
 func Open(opts Options) (*Store, error) {
 	if opts.Path == "" {
 		return nil, fmt.Errorf("semcache: Options.Path is required")
@@ -145,114 +140,74 @@ func Open(opts Options) (*Store, error) {
 	if opts.QuantStep <= 0 {
 		opts.QuantStep = DefaultQuantStep
 	}
-	if err := os.MkdirAll(filepath.Dir(opts.Path), 0o755); err != nil {
-		return nil, fmt.Errorf("semcache: %w", err)
-	}
-
 	st := &Store{
 		opts:    opts,
-		byJob:   map[string]*list.Element{},
-		order:   list.New(),
+		byHash:  map[string]string{},
 		weights: newWeights(),
 	}
-	if err := st.replay(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(opts.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := journal.Open(journal.Config[Entry]{
+		Path: opts.Path,
+		Key:  func(e Entry) string { return e.JobID },
+		Valid: func(e Entry) bool {
+			return e.SigVersion == Version && e.JobID != "" && len(e.Signature) > 0
+		},
+		Deleted:    func(e Entry) bool { return e.Deleted },
+		Tombstone:  func(job string) Entry { return Entry{JobID: job, Deleted: true} },
+		Size:       Entry.size,
+		MaxEntries: opts.MaxEntries,
+		MaxBytes:   opts.MaxBytes,
+		OnReplay:   st.replayed,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("semcache: %w", err)
 	}
-	st.file = f
+	st.j = j
 	return st, nil
 }
 
-// replay loads the journal into memory. Unreadable lines are skipped
-// rather than failing the open: a torn final write from a crash must
-// not take the whole cache down.
-func (st *Store) replay() error {
-	f, err := os.Open(st.opts.Path)
-	if os.IsNotExist(err) {
-		return nil
+// sameHash returns the other job whose live entry holds e's trace
+// hash: a re-run of the same bytes replaces that entry instead of
+// duplicating the neighborhood. Caller holds st.mu, or is replay.
+func (st *Store) sameHash(j *journal.Journal[Entry], e Entry) (string, bool) {
+	old, ok := st.byHash[e.TraceHash]
+	if !ok || e.TraceHash == "" || old == e.JobID {
+		return "", false
 	}
-	if err != nil {
-		return fmt.Errorf("semcache: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		st.lines++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue
-		}
-		if e.Deleted {
-			st.dropLocked(e.JobID)
-			continue
-		}
-		if e.SigVersion != Version || e.JobID == "" || len(e.Signature) == 0 {
-			continue
-		}
-		st.insertLocked(e)
-	}
-	// Scanner errors (oversized line at the tail) degrade to a partial
-	// load, same policy as unreadable lines.
-	return nil
+	prev, ok := j.Get(old)
+	return old, ok && prev.TraceHash == e.TraceHash
 }
 
-// insertLocked adds or replaces an entry in memory and applies the
-// bounds. Caller holds st.mu (or is single-threaded during replay).
-func (st *Store) insertLocked(e Entry) {
-	// A re-run of the same trace bytes (or a rewrite of the same job)
-	// replaces the prior entry instead of duplicating the neighborhood.
-	if el, ok := st.byJob[e.JobID]; ok {
-		st.removeLocked(el)
+// indexHash records e's job as the holder of its trace hash, first
+// rebuilding the index when stale hashes outnumber live entries.
+func (st *Store) indexHash(j *journal.Journal[Entry], e Entry) {
+	if e.TraceHash == "" {
+		return
 	}
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		if el.Value.(*storeEntry).e.TraceHash == e.TraceHash && e.TraceHash != "" {
-			st.removeLocked(el)
-			break
-		}
+	if n := j.Len(); len(st.byHash) > 2*n+16 {
+		st.byHash = make(map[string]string, n)
+		j.Each(func(e Entry) bool {
+			if e.TraceHash != "" {
+				st.byHash[e.TraceHash] = e.JobID
+			}
+			return true
+		})
 	}
-	se := &storeEntry{e: e, size: e.size()}
-	st.byJob[e.JobID] = st.order.PushFront(se)
-	st.size += se.size
-	st.evictLocked()
+	st.byHash[e.TraceHash] = e.JobID
 }
 
-func (st *Store) removeLocked(el *list.Element) {
-	se := el.Value.(*storeEntry)
-	st.order.Remove(el)
-	delete(st.byJob, se.e.JobID)
-	st.size -= se.size
-}
-
-func (st *Store) dropLocked(jobID string) {
-	if el, ok := st.byJob[jobID]; ok {
-		st.removeLocked(el)
+// replayed applies the trace-hash supersede to a replayed entry before
+// the journal inserts it.
+func (st *Store) replayed(j *journal.Journal[Entry], e Entry) {
+	if old, ok := st.sameHash(j, e); ok {
+		j.Remove(old)
 	}
-}
-
-// evictLocked drops least-recently-used entries until both bounds hold.
-func (st *Store) evictLocked() {
-	for (st.opts.MaxEntries > 0 && st.order.Len() > st.opts.MaxEntries) ||
-		(st.opts.MaxBytes > 0 && st.size > st.opts.MaxBytes) {
-		el := st.order.Back()
-		if el == nil {
-			return
-		}
-		st.removeLocked(el)
-		st.evictions++
-	}
+	st.indexHash(j, e)
 }
 
 // Put indexes a completed diagnosis: the signature is quantized, the
 // entry journaled, and the bounds enforced. Evictions are not
-// journaled individually; bounds re-apply on the next load.
+// journaled individually; bounds re-apply on the next load. When the
+// journal write fails, the store is left as it was.
 func (st *Store) Put(e Entry) error {
 	if st == nil {
 		return nil
@@ -262,22 +217,16 @@ func (st *Store) Put(e Entry) error {
 	if e.JobID == "" || len(e.Signature) == 0 {
 		return fmt.Errorf("semcache: entry needs a job id and a signature")
 	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("semcache: %w", err)
-	}
-	line = append(line, '\n')
-
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.file != nil {
-		if _, err := st.file.Write(line); err != nil {
-			return fmt.Errorf("semcache: journaling entry: %w", err)
-		}
-		st.lines++
+	var replaces []string
+	if old, ok := st.sameHash(st.j, e); ok {
+		replaces = append(replaces, old)
 	}
-	st.insertLocked(e)
-	st.compactLocked()
+	if err := st.j.Put(e, replaces...); err != nil {
+		return fmt.Errorf("semcache: journaling entry: %w", err)
+	}
+	st.indexHash(st.j, e)
 	return nil
 }
 
@@ -288,76 +237,10 @@ func (st *Store) Delete(jobID string) error {
 	if st == nil || jobID == "" {
 		return nil
 	}
-	line, err := json.Marshal(Entry{JobID: jobID, Deleted: true})
-	if err != nil {
-		return err
+	if err := st.j.Delete(jobID); err != nil {
+		return fmt.Errorf("semcache: journaling tombstone: %w", err)
 	}
-	line = append(line, '\n')
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.dropLocked(jobID)
-	if st.file != nil {
-		if _, err := st.file.Write(line); err != nil {
-			return fmt.Errorf("semcache: journaling tombstone: %w", err)
-		}
-		st.lines++
-	}
-	st.compactLocked()
 	return nil
-}
-
-// compactLocked rewrites the journal when superseded/tombstoned lines
-// outnumber live entries, via temp file + rename so a crash mid-compact
-// leaves the old journal intact.
-func (st *Store) compactLocked() {
-	if st.file == nil || st.lines <= 2*st.order.Len()+16 {
-		return
-	}
-	tmp := st.opts.Path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	w := bufio.NewWriter(f)
-	n := 0
-	// Oldest first, so replay rebuilds the same recency order.
-	for el := st.order.Back(); el != nil; el = el.Prev() {
-		line, err := json.Marshal(el.Value.(*storeEntry).e)
-		if err != nil {
-			continue
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return
-		}
-		n++
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, st.opts.Path); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	old := st.file
-	nf, err := os.OpenFile(st.opts.Path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// Keep appending to the (renamed-over) old handle; the next
-		// open replays the compacted file plus nothing, which only
-		// loses post-compaction writes on this degenerate path.
-		return
-	}
-	old.Close()
-	st.file = nf
-	st.lines = n
 }
 
 // Lookup quantizes the query signature and returns the most similar
@@ -379,23 +262,24 @@ func (st *Store) Lookup(sig Signature) (Match, bool) {
 	defer st.mu.Unlock()
 	st.lookups++
 	var (
-		best    *list.Element
+		best    Entry
+		found   bool
 		bestSim = -1.0
 	)
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		if sim := st.similarityLocked(q, el.Value.(*storeEntry).e.Signature); sim > bestSim {
-			bestSim, best = sim, el
+	st.j.Each(func(e Entry) bool {
+		if sim := st.similarityLocked(q, e.Signature); sim > bestSim {
+			bestSim, best, found = sim, e, true
 		}
-	}
-	if best == nil {
+		return true
+	})
+	if !found {
 		return Match{}, false
 	}
-	st.order.MoveToFront(best)
-	e := best.Value.(*storeEntry).e
+	st.j.Touch(best.JobID)
 	return Match{
-		Entry:      e,
+		Entry:      best,
 		Similarity: bestSim,
-		Deltas:     Deltas(q, e.Signature),
+		Deltas:     Deltas(q, best.Signature),
 	}, true
 }
 
@@ -514,9 +398,7 @@ func (st *Store) Len() int {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.order.Len()
+	return st.j.Len()
 }
 
 // Bytes returns the estimated retained bytes.
@@ -524,9 +406,7 @@ func (st *Store) Bytes() int64 {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.size
+	return st.j.Stats().Bytes
 }
 
 // Stats returns a counters snapshot.
@@ -536,14 +416,16 @@ func (st *Store) Stats() Stats {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	js := st.j.Stats()
 	return Stats{
-		Entries:     st.order.Len(),
-		Bytes:       st.size,
+		Entries:     js.Entries,
+		Bytes:       js.Bytes,
 		Lookups:     st.lookups,
 		Hits:        st.hits,
 		Conditioned: st.conditioned,
 		Misses:      st.misses,
-		Evictions:   st.evictions,
+		Evictions:   js.Evicted,
+		WriteErrors: js.WriteErrors,
 	}
 }
 
@@ -553,12 +435,11 @@ func (st *Store) Entries() []Entry {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	out := make([]Entry, 0, st.order.Len())
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*storeEntry).e)
-	}
-	st.mu.Unlock()
+	out := make([]Entry, 0, st.j.Len())
+	st.j.Each(func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
 	sort.SliceStable(out, func(i, j int) bool {
 		if !out[i].CreatedAt.Equal(out[j].CreatedAt) {
 			return out[i].CreatedAt.After(out[j].CreatedAt)
@@ -573,12 +454,5 @@ func (st *Store) Close() error {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.file == nil {
-		return nil
-	}
-	err := st.file.Close()
-	st.file = nil
-	return err
+	return st.j.Close()
 }

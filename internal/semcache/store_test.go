@@ -1,12 +1,16 @@
 package semcache
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"ion/internal/journal/journaltest"
 )
 
 func testStore(t *testing.T, opts Options) *Store {
@@ -64,30 +68,9 @@ func TestStorePutLookup(t *testing.T) {
 	}
 }
 
-func TestStoreSurvivesRestart(t *testing.T) {
+func TestStoreReplacesSameTraceHash(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "semcache.jsonl")
 	st := testStore(t, Options{Path: path})
-	for i := 0; i < 3; i++ {
-		if err := st.Put(entryN(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2 := testStore(t, Options{Path: path})
-	if got := st2.Len(); got != 3 {
-		t.Fatalf("reloaded %d entries, want 3", got)
-	}
-	m, ok := st2.Lookup(sigN(1))
-	if !ok || m.Entry.JobID != "j-000000000001" {
-		t.Fatalf("after restart, lookup = %+v ok=%v", m, ok)
-	}
-}
-
-func TestStoreReplacesSameTraceHash(t *testing.T) {
-	st := testStore(t, Options{})
 	e := entryN(1)
 	if err := st.Put(e); err != nil {
 		t.Fatal(err)
@@ -103,6 +86,40 @@ func TestStoreReplacesSameTraceHash(t *testing.T) {
 	m, _ := st.Lookup(sigN(1))
 	if m.Entry.JobID != "j-000000000099" {
 		t.Fatalf("lookup returned %s, want the superseding job", m.Entry.JobID)
+	}
+	// Replay applies the same supersede: the journal holds both lines.
+	st.Close()
+	st = testStore(t, Options{Path: path})
+	if got := st.Len(); got != 1 {
+		t.Fatalf("after restart, same-hash re-put left %d entries, want 1", got)
+	}
+	if m, ok := st.Lookup(sigN(1)); !ok || m.Entry.JobID != "j-000000000099" {
+		t.Fatalf("after restart, lookup = %+v ok=%v, want the superseding job", m, ok)
+	}
+}
+
+// TestStoreSigVersionGating: entries journaled under another signature
+// schema are dropped on load.
+func TestStoreSigVersionGating(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "semcache.jsonl")
+	st := testStore(t, Options{Path: path})
+	if err := st.Put(entryN(1)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	stale, err := json.Marshal(Entry{SigVersion: Version + 1, JobID: "j-stale", TraceHash: "h-stale", Signature: sigN(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(append(stale, '\n'))
+	f.Close()
+	st = testStore(t, Options{Path: path})
+	if ents := st.Entries(); len(ents) != 1 || ents[0].JobID != "j-000000000001" {
+		t.Fatalf("entries after reload = %+v, want only the current-version entry", ents)
 	}
 }
 
@@ -124,117 +141,35 @@ func TestStoreCountEviction(t *testing.T) {
 	}
 }
 
-func TestStoreByteEviction(t *testing.T) {
-	budget := entryN(0).size() * 3
-	st := testStore(t, Options{MaxEntries: -1, MaxBytes: budget})
-	for i := 0; i < 10; i++ {
-		if err := st.Put(entryN(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Bytes() > budget {
-		t.Fatalf("store retains %d bytes over budget %d", st.Bytes(), budget)
-	}
-	if st.Len() == 0 || st.Len() > 3 {
-		t.Fatalf("byte-bounded store holds %d entries", st.Len())
-	}
-}
-
-func TestStoreBoundsReapplyOnLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "semcache.jsonl")
-	st := testStore(t, Options{Path: path, MaxEntries: -1, MaxBytes: -1})
-	for i := 0; i < 8; i++ {
-		if err := st.Put(entryN(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Close()
-	st2 := testStore(t, Options{Path: path, MaxEntries: 2})
-	if got := st2.Len(); got != 2 {
-		t.Fatalf("reload with tighter bound holds %d entries, want 2", got)
-	}
-}
-
-func TestStoreDeleteTombstone(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "semcache.jsonl")
-	st := testStore(t, Options{Path: path})
+// TestStoreFailedPutKeepsSameHashEntry: a Put that cannot be journaled
+// (here, a time JSON cannot encode) leaves the entry it would have
+// superseded by trace hash live.
+func TestStoreFailedPutKeepsSameHashEntry(t *testing.T) {
+	st := testStore(t, Options{})
 	if err := st.Put(entryN(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Delete("j-000000000001"); err != nil {
-		t.Fatal(err)
+	e := entryN(1)
+	e.JobID = "j-000000000099"
+	e.CreatedAt = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	if err := st.Put(e); err == nil {
+		t.Fatal("Put of an unencodable entry succeeded")
 	}
-	if st.Len() != 0 {
-		t.Fatal("delete left the entry live")
-	}
-	st.Close()
-	st2 := testStore(t, Options{Path: path})
-	if st2.Len() != 0 {
-		t.Fatal("tombstone did not survive restart")
-	}
-}
-
-func TestStoreCompaction(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "semcache.jsonl")
-	st := testStore(t, Options{Path: path, MaxEntries: 4})
-	// Many superseding writes of a small live set force a compaction.
-	for round := 0; round < 40; round++ {
-		for i := 0; i < 4; i++ {
-			if err := st.Put(entryN(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 160 journal writes at ~300 bytes each would be ~48 KB without
-	// compaction; the live set is 4 entries.
-	if fi.Size() > 8<<10 {
-		t.Fatalf("journal is %d bytes; compaction did not run", fi.Size())
-	}
-	st.Close()
-	st2 := testStore(t, Options{Path: path})
-	if got := st2.Len(); got != 4 {
-		t.Fatalf("compacted journal reloaded %d entries, want 4", got)
-	}
-}
-
-func TestStoreCorruptTailIgnored(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "semcache.jsonl")
-	st := testStore(t, Options{Path: path})
-	if err := st.Put(entryN(1)); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"job_id":"j-torn","sig`) // torn write, no newline
-	f.Close()
-	st2 := testStore(t, Options{Path: path})
-	if got := st2.Len(); got != 1 {
-		t.Fatalf("store with torn tail loaded %d entries, want 1", got)
+	if m, ok := st.Lookup(sigN(1)); !ok || m.Entry.JobID != "j-000000000001" || st.Len() != 1 {
+		t.Fatalf("after a failed Put, lookup = %+v ok=%v len=%d, want the earlier entry alone", m.Entry, ok, st.Len())
 	}
 }
 
 func TestStoreNilReceiver(t *testing.T) {
 	var st *Store
-	if err := st.Put(entryN(1)); err != nil {
-		t.Fatal(err)
-	}
 	if _, ok := st.Lookup(sigN(1)); ok {
 		t.Fatal("nil store answered a lookup")
 	}
 	st.Note(OutcomeHit)
-	if st.Len() != 0 || st.Bytes() != 0 || st.Entries() != nil {
+	if st.Bytes() != 0 || st.Entries() != nil || st.Stats() != (Stats{}) {
 		t.Fatal("nil store reports state")
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	journaltest.NilReceiver(t, journalStore{})
 }
 
 func TestStoreConcurrentAccess(t *testing.T) {
@@ -321,3 +256,49 @@ func TestFlipFeedbackDownWeightsDimensions(t *testing.T) {
 		t.Fatalf("nil store weight = %v, want 1", w[dim])
 	}
 }
+
+// journalStore adapts Store to the journal conformance suite. Record n
+// is job k-n with trace hash h-n; the version is kept in Trace.
+type journalStore struct{ s *Store }
+
+var journalHarness = journaltest.Harness{Open: func(path string, b journaltest.Bounds) (journaltest.Store, error) {
+	s, err := Open(Options{Path: path, MaxEntries: b.Entries, MaxBytes: b.Bytes})
+	return journalStore{s}, err
+}, Tombstones: true}
+
+func journalEntry(n, ver int) Entry {
+	sig := make(Signature, len(Dimensions()))
+	for i := range sig {
+		sig[i] = float64((n*7+i*3)%32)/32 + 0.01
+	}
+	return Entry{JobID: fmt.Sprintf("k-%03d", n), TraceHash: fmt.Sprintf("h-%03d", n), Trace: fmt.Sprint(ver),
+		Signature: sig, Issues: []string{"small-io"}, Outcome: "full", CreatedAt: journaltest.Base.Add(time.Duration(n) * time.Second)}
+}
+
+func (a journalStore) Put(n, ver int) error { return a.s.Put(journalEntry(n, ver)) }
+func (a journalStore) Get(n int) (int, bool) {
+	for _, e := range a.s.Entries() {
+		if e.JobID == fmt.Sprintf("k-%03d", n) {
+			v, _ := strconv.Atoi(e.Trace)
+			return v, true
+		}
+	}
+	return 0, false
+}
+func (a journalStore) Delete(n int) error { return a.s.Delete(fmt.Sprintf("k-%03d", n)) }
+func (a journalStore) Len() int           { return a.s.Len() }
+func (a journalStore) Close() error       { return a.s.Close() }
+func (a journalStore) Counters() journaltest.Counters {
+	st := a.s.Stats()
+	return journaltest.Counters{Bytes: st.Bytes, Evicted: st.Evictions, WriteErrors: st.WriteErrors}
+}
+
+func TestJournalConformance(t *testing.T) { journaltest.Run(t, journalHarness) }
+
+// Earlier names of suite cases, kept as stable test ids.
+func TestStoreSurvivesRestart(t *testing.T)     { journaltest.Restart(t, journalHarness) }
+func TestStoreCorruptTailIgnored(t *testing.T)  { journaltest.CorruptTail(t, journalHarness) }
+func TestStoreDeleteTombstone(t *testing.T)     { journaltest.Tombstone(t, journalHarness) }
+func TestStoreByteEviction(t *testing.T)        { journaltest.ByteEviction(t, journalHarness) }
+func TestStoreBoundsReapplyOnLoad(t *testing.T) { journaltest.BoundsReapplyOnLoad(t, journalHarness) }
+func TestStoreCompaction(t *testing.T)          { journaltest.Compaction(t, journalHarness) }
